@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .coalitions import all_coalitions, coalition_of, lex_key, members
+from .coalitions import MAX_PLAYERS, all_coalitions, coalition_of, lex_key, members
 from .errors import SolverError
 from .game import (
     Payoff,
@@ -70,8 +70,10 @@ def load_game(path: Path) -> TuGame:
     if not isinstance(doc, dict) or "n" not in doc or "coalitions" not in doc:
         raise GameFileError(f"{path}: expected an object with 'n' and 'coalitions'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
-        raise GameFileError(f"{path}: 'n' must be a positive integer")
+    if type(n) is not int or not 1 <= n <= MAX_PLAYERS:  # bool is an int subclass
+        raise GameFileError(f"{path}: 'n' must be an integer in 1..{MAX_PLAYERS}")
+    if not isinstance(doc["coalitions"], dict):
+        raise GameFileError(f"{path}: 'coalitions' must be an object")
     values = [Fraction(0)] * ((1 << n) - 1)
     for key, raw in doc["coalitions"].items():
         mask = _parse_players(key, n)
@@ -284,6 +286,8 @@ def load_family(manifest_path: Path) -> RelatedFamily:
         )
     except KeyError as exc:
         raise GameFileError(f"{manifest_path}: missing field {exc}") from None
+    except TypeError as exc:
+        raise GameFileError(f"{manifest_path}: malformed manifest: {exc}") from None
 
 
 def _parse_weights(text: Optional[str], count: int) -> list[Fraction]:
@@ -323,6 +327,8 @@ def cmd_segment(args, report: Report) -> int:
         index_a, index_b = int(a_str), int(b_str)
     except ValueError:
         raise GameFileError(f"bad --pair {args.pair!r}; expected two indices like 5,10") from None
+    if not (0 <= index_a < count - 1 and 0 <= index_b < count - 1):
+        raise GameFileError(f"--pair indices must address generated games 0..{count - 2}")
     grid_points = args.grid
     if grid_points < 2:
         raise GameFileError("--grid must be at least 2")
@@ -400,6 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.decimal is not None and args.decimal < 0:
+        parser.error("--decimal must be non-negative")
     report = Report(args.decimal)
     try:
         return args.func(args, report)

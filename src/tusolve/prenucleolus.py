@@ -6,7 +6,11 @@ coalitions, a secondary LP per candidate decides which coalitions are
 pinned at that level in every optimal solution, and those become equality
 constraints.  The point is unique once the settled equalities reach rank n.
 Verification is independent: a payoff is the pre-nucleolus iff every
-excess level set is a balanced collection.
+excess level set is a balanced collection (Kohlberg 1971).  The check walks
+the level sets from the top excess down and stops at the first balanced one
+of rank n, since every larger collection is then balanced as well; each
+balancedness test grows the support of a feasible weight vector, one LP per
+round, instead of solving one LP per member.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .coalitions import Coalition, all_coalitions, contains, grand_coalition, lex_key
+from .errors import SolverError
 from .game import Payoff, TuGame, as_payoff, extend_payoff, payoff_total
 from .linalg import Matrix, rank as matrix_rank, solve_linear
 from .lp import LinearProgram, solve_lp
@@ -61,10 +66,13 @@ class BalancedCertificate:
 def is_balanced(collection: Sequence[Coalition], n: int) -> Optional[BalancedCertificate]:
     """Balancedness certificate for a collection of coalitions, or None.
 
-    Solves one exact LP per member maximizing its weight subject to the
-    coverage equalities; the collection is balanced iff the system is
-    feasible and every member's maximum weight is positive, in which case
-    the average of the per-member optima is a strictly positive witness.
+    Support growth: Z starts as the whole collection; each round solves
+    max sum_{S in Z} w_S subject to sum_S w_S 1_S = 1_N and w >= 0, then
+    drops from Z every member the optimum weights positively.  An
+    infeasible system, or an optimum of 0 while Z is non-empty, means some
+    member is zero in every solution, so the collection is not balanced.
+    Once Z is empty, the average of the round optima is a strictly positive
+    witness; at most one LP per member runs, usually far fewer.
     """
     masks = sorted(set(collection), key=lex_key)
     if not masks:
@@ -78,42 +86,41 @@ def is_balanced(collection: Sequence[Coalition], n: int) -> Optional[BalancedCer
     if union != full:
         return None
 
-    eq_rows = []
-    for p in range(1, n + 1):
-        eq_rows.append(tuple(Fraction(int(contains(m, p))) for m in masks))
+    eq_rows = tuple(tuple(Fraction(int(contains(m, p))) for m in masks) for p in range(1, n + 1))
     eq_rhs = tuple([Fraction(1)] * n)
     m_count = len(masks)
+    zero_so_far = set(range(m_count))
     solutions = []
-    for k in range(m_count):
-        objective = tuple(Fraction(int(i == k)) for i in range(m_count))
+    while zero_so_far:
+        objective = tuple(Fraction(int(k in zero_so_far)) for k in range(m_count))
         outcome = solve_lp(
-            LinearProgram(
-                objective=objective,
-                maximize=True,
-                eq_matrix=tuple(eq_rows),
-                eq_rhs=eq_rhs,
-            )
+            LinearProgram(objective=objective, maximize=True, eq_matrix=eq_rows, eq_rhs=eq_rhs)
         )
         if outcome.status != "optimal" or outcome.value == 0:
             return None
         solutions.append(outcome.point)
+        zero_so_far = {k for k in zero_so_far if outcome.point[k] == 0}
     weights = tuple(
-        sum((sol[k] for sol in solutions), Fraction(0)) / m_count for k in range(m_count)
+        sum((sol[k] for sol in solutions), Fraction(0)) / len(solutions) for k in range(m_count)
     )
     for p in range(1, n + 1):
         total = sum((w for w, m in zip(weights, masks) if contains(m, p)), Fraction(0))
         if total != 1:
-            raise AssertionError("balanced weights failed to recombine exactly")
+            raise SolverError("balanced weights failed to recombine exactly")
     if any(w <= 0 for w in weights):
-        raise AssertionError("balanced weights must be strictly positive")
+        raise SolverError("balanced weights must be strictly positive")
     return BalancedCertificate(collection=tuple(masks), weights=weights)
 
 
 def kohlberg_criterion(v: TuGame, x: Sequence[Fraction]) -> bool:
-    """True iff every non-empty excess level set is balanced.
+    """True iff every non-empty excess level set is balanced (Kohlberg 1971).
 
     Characterizes the pre-nucleolus among efficient payoffs; raises if x
-    is not efficient.
+    is not efficient.  Level sets are tested from the top excess down, and
+    the test stops at the first balanced one whose indicator vectors span
+    R^n: write any 1_T in their span and shift a small enough share of the
+    strictly positive weights onto T, and 1_N is recombined with T added,
+    so every larger collection, each later level set included, is balanced.
     """
     x = as_payoff(x)
     if payoff_total(x, v.grand) != v.value(v.grand):
@@ -136,6 +143,8 @@ def kohlberg_criterion(v: TuGame, x: Sequence[Fraction]) -> bool:
             continue
         if is_balanced(current, v.n) is None:
             return False
+        if matrix_rank(Matrix.from_rows([_indicator_row(m, v.n) for m in current])) == v.n:
+            return True
     return True
 
 
@@ -171,10 +180,11 @@ def prenucleolus(v: TuGame) -> Payoff:
         rk, mat, rhs = settled_rank()
         if rk == n:
             point = solve_linear(mat, rhs)
-            assert point is not None
+            if point is None:
+                raise SolverError("settled equalities have no common solution")
             return tuple(point)
         if not unfrozen:
-            raise AssertionError("all coalitions settled without pinning the payoff")
+            raise SolverError("all coalitions settled without pinning the payoff")
 
         # min t subject to e(S,x) <= t (unsettled), settled equalities, efficiency
         eq_rows = [_indicator_row(m, n) + (Fraction(0),) for m in frozen]
@@ -199,7 +209,7 @@ def prenucleolus(v: TuGame) -> Payoff:
             )
         )
         if outcome.status != "optimal":
-            raise AssertionError(f"level LP returned {outcome.status}")
+            raise SolverError(f"level LP returned {outcome.status}")
         t_star = outcome.value
         x_cur = outcome.point[:n]
 
@@ -223,11 +233,11 @@ def prenucleolus(v: TuGame) -> Payoff:
                 )
             )
             if check.status != "optimal":
-                raise AssertionError(f"settling LP returned {check.status}")
+                raise SolverError(f"settling LP returned {check.status}")
             if check.value == v.value(m) - t_star:
                 newly.append(m)
         if not newly:
-            raise AssertionError("no coalition settled; the level LP must pin at least one")
+            raise SolverError("no coalition settled; the level LP must pin at least one")
         for m in newly:
             frozen[m] = t_star
-    raise AssertionError("sequential minimization failed to terminate")
+    raise SolverError("sequential minimization failed to terminate")

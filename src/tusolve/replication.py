@@ -18,7 +18,7 @@ from math import isqrt, lcm
 from typing import Optional, Sequence
 
 from .coalitions import all_coalitions, contains, ordered_pairs, unordered_pairs
-from .errors import ClassBoundaryError, ReplicationError
+from .errors import ClassBoundaryError, ReplicationError, SolverError
 from .game import Payoff, TuGame, as_fraction, as_payoff, is_prekernel, unanimity_values
 from .linalg import Matrix, Vector, nullspace, rank as matrix_rank, rref
 from .prekernel import (
@@ -80,7 +80,7 @@ def power_system(v: TuGame, profile: SurplusProfile) -> CoalitionPowerSystem:
 
     vt_v = v_matrix.transpose().apply(list(v.values))
     if list(vt_v) != alpha:
-        raise AssertionError("V^T v must reproduce the value differences")
+        raise SolverError("V^T v must reproduce the value differences")
     # The class sign matrix factors through V: E^T = V^T Z^T with
     # Z^T[S][k] = -1 for k in S, witnessing the range inclusion.
     z_t = Matrix.from_rows(
@@ -88,7 +88,7 @@ def power_system(v: TuGame, profile: SurplusProfile) -> CoalitionPowerSystem:
     )
     e_t = quadratic_system(v, profile).e_matrix.transpose()
     if (v_matrix.transpose() @ z_t).rows != e_t.rows:
-        raise AssertionError("V^T Z^T must reproduce the class sign matrix")
+        raise SolverError("V^T Z^T must reproduce the class sign matrix")
     return CoalitionPowerSystem(
         n=n,
         profile=profile,

@@ -5,8 +5,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from tusolve import TuGame, game_from_unanimity
-from tusolve.coalitions import coalition_of, contains, grand_coalition
+from tusolve.coalitions import all_coalitions, coalition_of, contains, grand_coalition, lex_key
+from tusolve.game import as_payoff, extend_payoff, payoff_total
 from tusolve.linalg import Matrix, rref, solve_linear
+from tusolve.lp import LinearProgram, solve_lp
 
 BASE_POINT = (Fraction(44, 9), Fraction(4), Fraction(32, 9), Fraction(32, 9))
 
@@ -143,3 +145,46 @@ def brute_force_average_convex(game):
                     if s_size >= 2 and (margin is None or slack < margin):
                         margin = slack
     return verdict, margin
+
+
+def is_balanced_per_member(collection, n):
+    """Balancedness by one exact LP per member, maximizing its weight subject
+    to sum_S w_S 1_S = 1_N, w >= 0.  Returns the average of the per-member
+    optima (strictly positive iff balanced) as ``(masks, weights)``, or None.
+    """
+    masks = sorted(set(collection), key=lex_key)
+    union = 0
+    for m in masks:
+        union |= m
+    if union != grand_coalition(n):
+        return None
+    eq_rows = tuple(tuple(Fraction(int(contains(m, p))) for m in masks) for p in range(1, n + 1))
+    eq_rhs = tuple([Fraction(1)] * n)
+    solutions = []
+    for k in range(len(masks)):
+        objective = tuple(Fraction(int(i == k)) for i in range(len(masks)))
+        outcome = solve_lp(
+            LinearProgram(objective=objective, maximize=True, eq_matrix=eq_rows, eq_rhs=eq_rhs)
+        )
+        if outcome.status != "optimal" or outcome.value == 0:
+            return None
+        solutions.append(outcome.point)
+    weights = tuple(sum(sol[k] for sol in solutions) / len(masks) for k in range(len(masks)))
+    return masks, weights
+
+
+def kohlberg_all_levels(v, x):
+    """Kohlberg's criterion testing every excess level set of x with
+    ``is_balanced_per_member`` and no early stop; it shares only the LP
+    solver and the payoff helpers with ``kohlberg_criterion``."""
+    x = as_payoff(x)
+    assert payoff_total(x, v.grand) == v.value(v.grand)
+    xbar = extend_payoff(x, v.n)
+    excesses = {m: v.value(m) - xbar[m] for m in all_coalitions(v.n)}
+    for psi in sorted(set(excesses.values()), reverse=True):
+        level = [m for m, e in excesses.items() if e >= psi]
+        if level == [v.grand] or len(level) == len(excesses):
+            continue  # N alone, and the full collection, are balanced
+        if is_balanced_per_member(level, v.n) is None:
+            return False
+    return True

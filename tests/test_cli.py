@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,8 @@ from tusolve.cli import (
     parse_rational,
     save_game,
 )
+
+from tusolve.lp import LpOutcome
 
 from helpers import random_game
 
@@ -141,6 +144,15 @@ class TestCommands:
         assert code == 2
         assert "error" in err
 
+    def test_broken_invariant_is_a_solver_error(self, capsys, monkeypatch):
+        module = sys.modules["tusolve.prenucleolus"]
+        monkeypatch.setattr(module, "solve_lp", lambda program: LpOutcome(status="bogus"))
+        code, out, err = run(capsys, "prenucleolus", BASE_GAME)
+        assert code == 1
+        assert out == ""
+        assert err == "solver error: level LP returned bogus\n"
+        assert "Traceback" not in err
+
     def test_reports_deterministic(self, capsys):
         _, out1, _ = run(capsys, "prenucleolus", BASE_GAME)
         _, out2, _ = run(capsys, "prenucleolus", BASE_GAME)
@@ -192,3 +204,79 @@ class TestFamilyCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["samples"] == 5 and doc["all_prekernel"] is True
+
+
+MALFORMED_GAMES = {
+    "n_bool": '{"n": true, "coalitions": {"1": "1"}}',
+    "n_huge": '{"n": 200, "coalitions": {}}',
+    "n_above_cap": '{"n": 21, "coalitions": {}}',
+    "n_string": '{"n": "2", "coalitions": {"1,2": "1"}}',
+    "n_float": '{"n": 2.0, "coalitions": {"1,2": "1"}}',
+    "n_zero": '{"n": 0, "coalitions": {}}',
+    "coalitions_list": '{"n": 2, "coalitions": []}',
+    "coalitions_string": '{"n": 2, "coalitions": "1,2"}',
+    "coalitions_null": '{"n": 2, "coalitions": null}',
+    "value_null": '{"n": 2, "coalitions": {"1,2": null}}',
+    "value_list": '{"n": 2, "coalitions": {"1,2": [1]}}',
+    "value_zero_denominator": '{"n": 2, "coalitions": {"1,2": "1/0"}}',
+    "key_not_players": '{"n": 2, "coalitions": {"x": "1", "1,2": "1"}}',
+    "key_repeated_player": '{"n": 2, "coalitions": {"1,1": "1", "1,2": "1"}}',
+    "grand_negative": '{"n": 2, "coalitions": {"1,2": "-1"}}',
+    "top_level_list": "[]",
+    "truncated": '{"n": 2,',
+    "empty": "",
+}
+
+MALFORMED_MANIFESTS = {
+    "manifest_list": "[]",
+    "base_not_string": '{"base": 1, "point": [], "games": [], "mu": "1", "bound": "1"}',
+    "games_not_list": '{"base": "b.json", "point": ["1"], "games": 5, "mu": "1", "bound": "1"}',
+    "point_not_list": '{"base": "b.json", "point": 5, "games": [], "mu": "1", "bound": "1"}',
+    "entry_not_object": '{"base": "b.json", "point": ["1"], "games": ["x"], "mu": "1", "bound": "1"}',
+    "missing_fields": '{"base": "b.json"}',
+}
+
+
+class TestMalformedInput:
+    """No malformed file makes the CLI raise (and so print a traceback):
+    each one exits 2 with a one-line message."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_GAMES))
+    def test_game_file(self, name, capsys, tmp_path):
+        path = tmp_path / f"{name}.json"
+        path.write_text(MALFORMED_GAMES[name])
+        code, out, err = run(capsys, "prekernel", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_MANIFESTS))
+    def test_manifest(self, name, capsys, tmp_path):
+        (tmp_path / "b.json").write_text('{"n": 1, "coalitions": {"1": "1"}}')
+        path = tmp_path / f"{name}.json"
+        path.write_text(MALFORMED_MANIFESTS[name])
+        code, out, err = run(capsys, "combine", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("pair", ["50,60", "0,11", "-1,2"])
+    def test_segment_pair_out_of_range(self, pair, family_dir, capsys):
+        code, out, err = run(
+            capsys, "segment", str(family_dir / "manifest.json"), f"--pair={pair}", "--grid", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_decimal_digits(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--decimal", "-1", "prekernel", BASE_GAME])
+        assert exit_info.value.code == 2
+        assert "--decimal must be non-negative" in capsys.readouterr().err
+
+    def test_n_checked_before_allocating(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 1000000000, "coalitions": []}')
+        with pytest.raises(GameFileError, match="1..20"):
+            load_game(path)
