@@ -63,7 +63,6 @@ from .replication import (
     related_game,
     replicate_family,
     segment_sample,
-    unanimity_basis,
 )
 
 __version__ = "0.1.0"

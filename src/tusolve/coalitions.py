@@ -8,6 +8,7 @@ most operations enumerate all 2**n coalitions.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 MAX_PLAYERS = 20
@@ -45,6 +46,11 @@ def size(mask: Coalition) -> int:
 
 def contains(mask: Coalition, player: int) -> bool:
     return bool(mask >> (player - 1) & 1)
+
+
+def indicator(mask: Coalition, n: int) -> tuple[Fraction, ...]:
+    """The 0/1 vector 1_S over players 1..n, as Fractions."""
+    return tuple(Fraction(int(contains(mask, p))) for p in range(1, n + 1))
 
 
 def all_coalitions(n: int, include_empty: bool = False) -> Iterator[Coalition]:

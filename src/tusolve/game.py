@@ -19,8 +19,8 @@ from .coalitions import (
     all_coalitions,
     coalition_of,
     coalitions_with_without,
-    contains,
     grand_coalition,
+    indicator,
     lex_key,
     unordered_pairs,
 )
@@ -209,29 +209,28 @@ def is_prekernel(v: TuGame, x: Sequence[Fraction]) -> bool:
     return True
 
 
-def unanimity_coords(v: TuGame) -> tuple[Fraction, ...]:
-    """Coordinates of v in the unanimity-game basis (Moebius inverse)."""
-    f = [Fraction(0)] + [v.value(m) for m in all_coalitions(v.n)]
-    for k in range(v.n):
-        bit = 1 << k
-        for mask in range(1 << v.n):
-            if mask & bit:
-                f[mask] -= f[mask ^ bit]
-    return tuple(f[1:])
-
-
-def game_from_unanimity(coords: Sequence[Fraction]) -> TuGame:
-    """Inverse of :func:`unanimity_coords` (subset-sum transform)."""
-    n = (len(coords) + 1).bit_length() - 1
-    if (1 << n) - 1 != len(coords):
-        raise ValueError("coordinate vector length must be 2**n - 1")
-    f = [Fraction(0)] + [as_fraction(c) for c in coords]
+def _subset_sums(values: Sequence, n: int, sign: int) -> tuple[Fraction, ...]:
+    """f(S) = sum over T <= S of values(T) for sign 1 (the zeta transform), or
+    its inverse, the Moebius transform, for sign -1.  Both vectors run over
+    the non-empty coalitions in bitmask order, with value 0 on the empty one."""
+    f = [Fraction(0)] + [as_fraction(c) for c in values]
     for k in range(n):
         bit = 1 << k
         for mask in range(1 << n):
             if mask & bit:
-                f[mask] += f[mask ^ bit]
-    return TuGame(n, tuple(f[1:]))
+                f[mask] += sign * f[mask ^ bit]
+    return tuple(f[1:])
+
+
+def unanimity_coords(v: TuGame) -> tuple[Fraction, ...]:
+    """Coordinates of v in the unanimity-game basis (Moebius inverse)."""
+    return _subset_sums(v.values, v.n, -1)
+
+
+def game_from_unanimity(coords: Sequence[Fraction]) -> TuGame:
+    """Inverse of :func:`unanimity_coords` (subset-sum transform)."""
+    values = unanimity_values(coords)
+    return TuGame((len(values) + 1).bit_length() - 1, values)
 
 
 def unanimity_values(coords: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -242,13 +241,7 @@ def unanimity_values(coords: Sequence[Fraction]) -> tuple[Fraction, ...]:
     n = (len(coords) + 1).bit_length() - 1
     if (1 << n) - 1 != len(coords):
         raise ValueError("coordinate vector length must be 2**n - 1")
-    f = [Fraction(0)] + [as_fraction(c) for c in coords]
-    for k in range(n):
-        bit = 1 << k
-        for mask in range(1 << n):
-            if mask & bit:
-                f[mask] += f[mask ^ bit]
-    return tuple(f[1:])
+    return _subset_sums(coords, n, 1)
 
 
 @dataclass(frozen=True)
@@ -262,11 +255,20 @@ class GameProperties:
 
 
 def _is_convex(v: TuGame) -> bool:
+    """Supermodularity in its local form, v(S+i+j) + v(S) >= v(S+i) + v(S+j)
+    for players i != j outside S, which implies it for all coalition pairs."""
     full = 1 << v.n
     for s in range(full):
-        for t in range(s + 1, full):
-            if v.value(s | t) + v.value(s & t) < v.value(s) + v.value(t):
-                return False
+        for i in range(v.n):
+            bit_i = 1 << i
+            if s & bit_i:
+                continue
+            for j in range(i + 1, v.n):
+                bit_j = 1 << j
+                if s & bit_j:
+                    continue
+                if v.value(s | bit_i | bit_j) + v.value(s) < v.value(s | bit_i) + v.value(s | bit_j):
+                    return False
     return True
 
 
@@ -364,7 +366,7 @@ def _core_nonempty(v: TuGame) -> bool:
     for mask in all_coalitions(v.n):
         if mask == full:
             continue
-        rows.append([-Fraction(int(contains(mask, p))) for p in range(1, v.n + 1)])
+        rows.append([-c for c in indicator(mask, v.n)])
         rhs.append(-v.value(mask))
     program = LinearProgram(
         objective=tuple([Fraction(0)] * v.n),

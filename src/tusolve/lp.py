@@ -129,21 +129,15 @@ def solve_lp(program: LinearProgram) -> LpOutcome:
 
     m = len(rows)
     # phase 1 tableau: one artificial per row
-    width = total + m + 1
     tab = []
     for i, (r, b) in enumerate(zip(rows, rhs)):
         row = r + [Fraction(0)] * m + [b]
         row[total + i] = Fraction(1)
         tab.append(row)
     basis = [total + i for i in range(m)]
-    phase_cost = [Fraction(0)] * total + [Fraction(1)] * m + [Fraction(0)]
-    zrow = [Fraction(0)] * width
-    for i in range(m):
-        for j in range(width):
-            zrow[j] += tab[i][j]
-    # reduced costs for min sum(artificials): c_j - z_j
-    red = [phase_cost[j] - zrow[j] for j in range(total + m)]
 
+    # pivot and run_simplex read tab, m and basis from this scope, so they
+    # serve phase 2 as well after phase 1 drops redundant rows
     def pivot(rowi: int, colj: int):
         piv = tab[rowi][colj]
         tab[rowi] = [v / piv for v in tab[rowi]]
@@ -154,14 +148,20 @@ def solve_lp(program: LinearProgram) -> LpOutcome:
                 tab[k] = [a - f * b for a, b in zip(tab[k], prow)]
         basis[rowi] = colj
 
-    def run_simplex(red: list[Fraction], allowed: int) -> bool:
-        """Bland-rule iterations; returns False on unbounded."""
+    def run_simplex(cost: list[Fraction]) -> bool:
+        """Bland-rule iterations minimizing cost over its columns; returns
+        False on unbounded."""
         while True:
-            enter = -1
-            for j in range(allowed):
-                if red[j] < 0:
-                    enter = j
-                    break
+            # reduced cost r_j = c_j - sum_i c_basis[i] * tab[i][j]
+            cb = [cost[b] for b in basis]
+            red = []
+            for j in range(len(cost)):
+                s = cost[j]
+                for i in range(m):
+                    if cb[i] != 0 and tab[i][j] != 0:
+                        s -= cb[i] * tab[i][j]
+                red.append(s)
+            enter = next((j for j, r in enumerate(red) if r < 0), -1)
             if enter < 0:
                 return True
             leave = -1
@@ -176,22 +176,10 @@ def solve_lp(program: LinearProgram) -> LpOutcome:
             if leave < 0:
                 return False
             pivot(leave, enter)
-            # update reduced costs from scratch for the basic objective
-            _recompute(red)
 
-    def _recompute(red: list[Fraction]):
-        # reduced cost r_j = c_j - sum_i c_basis[i] * tab[i][j]
-        cb = [current_cost[b] for b in basis]
-        for j in range(len(red)):
-            s = current_cost[j]
-            for i in range(m):
-                if cb[i] != 0 and tab[i][j] != 0:
-                    s -= cb[i] * tab[i][j]
-            red[j] = s
-
-    current_cost = phase_cost
-    _recompute(red)
-    if not run_simplex(red, total + m):
+    # phase 1: min sum(artificials)
+    phase_cost = [Fraction(0)] * total + [Fraction(1)] * m
+    if not run_simplex(phase_cost):
         raise RuntimeError("phase-1 objective cannot be unbounded")
     p1 = sum((phase_cost[basis[i]] * tab[i][-1] for i in range(m)), Fraction(0))
     if p1 != 0:
@@ -211,50 +199,8 @@ def solve_lp(program: LinearProgram) -> LpOutcome:
     tab = [row[:total] + [row[-1]] for row in tab]
 
     # phase 2
-    current_cost = obj + [Fraction(0)]
-    red2 = [Fraction(0)] * total
-
-    def recompute2():
-        cb = [current_cost[b] for b in basis]
-        for j in range(total):
-            s = current_cost[j]
-            for i in range(m):
-                if cb[i] != 0 and tab[i][j] != 0:
-                    s -= cb[i] * tab[i][j]
-            red2[j] = s
-
-    def pivot2(rowi: int, colj: int):
-        piv = tab[rowi][colj]
-        tab[rowi] = [v / piv for v in tab[rowi]]
-        prow = tab[rowi]
-        for k in range(m):
-            if k != rowi and tab[k][colj] != 0:
-                f = tab[k][colj]
-                tab[k] = [a - f * b for a, b in zip(tab[k], prow)]
-        basis[rowi] = colj
-
-    recompute2()
-    while True:
-        enter = -1
-        for j in range(total):
-            if red2[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave = -1
-        best = None
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return LpOutcome(status="unbounded")
-        pivot2(leave, enter)
-        recompute2()
+    if not run_simplex(obj):
+        return LpOutcome(status="unbounded")
 
     solution = [Fraction(0)] * total
     for i in range(m):

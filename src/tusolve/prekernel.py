@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .coalitions import (
     Coalition,
     coalitions_with_without,
-    contains,
+    indicator,
     lex_key,
     ordered_pairs,
     unordered_pairs,
@@ -134,10 +134,6 @@ class QuadraticSystem:
         return tuple(a + b for a, b in zip(self.alpha_vec, et_g))
 
 
-def _indicator(mask: Coalition, n: int) -> list[Fraction]:
-    return [Fraction(int(contains(mask, p))) for p in range(1, n + 1)]
-
-
 def quadratic_system(v: TuGame, profile: SurplusProfile) -> QuadraticSystem:
     """Build the class quadratic (E, alpha, Q, a, |alpha|^2) from a profile."""
     n = v.n
@@ -146,8 +142,8 @@ def quadratic_system(v: TuGame, profile: SurplusProfile) -> QuadraticSystem:
     for i, j in unordered_pairs(n):
         s_ij = profile.get(i, j)
         s_ji = profile.get(j, i)
-        col_pos = _indicator(s_ji, n)
-        col_neg = _indicator(s_ij, n)
+        col_pos = indicator(s_ji, n)
+        col_neg = indicator(s_ij, n)
         columns.append([a - b for a, b in zip(col_pos, col_neg)])
         alpha.append(v.value(s_ij) - v.value(s_ji))
     columns.append([Fraction(-1)] * n)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .coalitions import Coalition, all_coalitions, contains, grand_coalition, lex_key
+from .coalitions import Coalition, all_coalitions, contains, grand_coalition, indicator, lex_key
 from .errors import SolverError
 from .game import Payoff, TuGame, as_payoff, extend_payoff, payoff_total
 from .linalg import Matrix, rank as matrix_rank, solve_linear
@@ -86,7 +86,7 @@ def is_balanced(collection: Sequence[Coalition], n: int) -> Optional[BalancedCer
     if union != full:
         return None
 
-    eq_rows = tuple(tuple(Fraction(int(contains(m, p))) for m in masks) for p in range(1, n + 1))
+    eq_rows = tuple(zip(*(indicator(m, n) for m in masks)))
     eq_rhs = tuple([Fraction(1)] * n)
     m_count = len(masks)
     zero_so_far = set(range(m_count))
@@ -143,13 +143,9 @@ def kohlberg_criterion(v: TuGame, x: Sequence[Fraction]) -> bool:
             continue
         if is_balanced(current, v.n) is None:
             return False
-        if matrix_rank(Matrix.from_rows([_indicator_row(m, v.n) for m in current])) == v.n:
+        if matrix_rank(Matrix.from_rows([indicator(m, v.n) for m in current])) == v.n:
             return True
     return True
-
-
-def _indicator_row(mask: Coalition, n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(int(contains(mask, p))) for p in range(1, n + 1))
 
 
 def prenucleolus(v: TuGame) -> Payoff:
@@ -168,9 +164,9 @@ def prenucleolus(v: TuGame) -> Payoff:
     frozen: dict[Coalition, Fraction] = {}
 
     def settled_rank() -> tuple[int, Matrix, list[Fraction]]:
-        rows = [_indicator_row(m, n) for m in frozen]
+        rows = [indicator(m, n) for m in frozen]
         rhs = [v.value(m) - frozen[m] for m in frozen]
-        rows.append(_indicator_row(full, n))
+        rows.append(indicator(full, n))
         rhs.append(v.value(full))
         mat = Matrix.from_rows(rows)
         return matrix_rank(mat), mat, rhs
@@ -187,14 +183,14 @@ def prenucleolus(v: TuGame) -> Payoff:
             raise SolverError("all coalitions settled without pinning the payoff")
 
         # min t subject to e(S,x) <= t (unsettled), settled equalities, efficiency
-        eq_rows = [_indicator_row(m, n) + (Fraction(0),) for m in frozen]
+        eq_rows = [indicator(m, n) + (Fraction(0),) for m in frozen]
         eq_rhs = [v.value(m) - frozen[m] for m in frozen]
-        eq_rows.append(_indicator_row(full, n) + (Fraction(0),))
+        eq_rows.append(indicator(full, n) + (Fraction(0),))
         eq_rhs.append(v.value(full))
         ub_rows = []
         ub_rhs = []
         for m in unfrozen:
-            row = tuple(-c for c in _indicator_row(m, n)) + (Fraction(-1),)
+            row = tuple(-c for c in indicator(m, n)) + (Fraction(-1),)
             ub_rows.append(row)
             ub_rhs.append(-v.value(m))
         objective = tuple([Fraction(0)] * n) + (Fraction(1),)
@@ -223,7 +219,7 @@ def prenucleolus(v: TuGame) -> Payoff:
                 continue
             check = solve_lp(
                 LinearProgram(
-                    objective=_indicator_row(m, n),
+                    objective=indicator(m, n),
                     maximize=True,
                     eq_matrix=tuple(eq_rows2),
                     eq_rhs=tuple(eq_rhs),

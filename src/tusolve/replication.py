@@ -2,12 +2,15 @@
 
 The selected coalitions at a pre-kernel point define a matrix of coalition
 power: V stacks the selected-coalition indicator differences as vectors
-over all 2**n - 1 coalition axes, U is the unanimity basis, and W = V^T U.
-Unanimity-coordinate directions in the null space of W leave every
-selected value difference untouched, so scaled perturbations along them
-produce new games that keep the point in the pre-kernel.  Every generated
-game is verified exactly and the scale halved on failure, making the
-construction sound regardless of the estimated safety bound.
+over all 2**n - 1 coalition axes, and W = V^T U for the unanimity basis U.
+Each row of W is written straight from the selected pair: the entry of a
+coalition T is [T <= S_ij] - [T <= S_ji], and the efficiency row is all
+ones, so U is never formed.  Unanimity-coordinate directions in the null
+space of W leave every selected value difference untouched, so scaled
+perturbations along them produce new games that keep the point in the
+pre-kernel.  Every generated game is verified exactly and the scale halved
+on failure, making the construction sound regardless of the estimated
+safety bound.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Optional, Sequence
 
-from .coalitions import all_coalitions, contains, ordered_pairs, unordered_pairs
-from .errors import ClassBoundaryError, ReplicationError, SolverError
+from .coalitions import all_coalitions, ordered_pairs, unordered_pairs
+from .errors import ClassBoundaryError, ReplicationError
 from .game import Payoff, TuGame, as_fraction, as_payoff, is_prekernel, unanimity_values
 from .linalg import Matrix, Vector, nullspace, rank as matrix_rank, rref
 from .prekernel import (
@@ -33,24 +36,19 @@ from .prekernel import (
 
 @dataclass(frozen=True)
 class CoalitionPowerSystem:
-    """V (coalition-axis differences of selected coalitions), the unanimity
-    basis U, their product W = V^T U, and the invariant value differences
-    alpha = V^T v."""
+    """V (coalition-axis differences of selected coalitions), the coalition
+    power matrix W = V^T U with U the unanimity basis, and the invariant
+    value differences alpha = V^T v.
+
+    Row r of W is the superset sum of column r of V: for the pair (i, j)
+    W[r][T] = [T <= S_ij] - [T <= S_ji], and the efficiency row is all ones.
+    """
 
     n: int
     profile: SurplusProfile
     v_matrix: Matrix
-    u_matrix: Matrix
     w_matrix: Matrix
     alpha_vec: Vector
-
-
-def unanimity_basis(n: int) -> Matrix:
-    """U[S][T] = 1 iff T is a subset of S, over non-empty coalitions."""
-    rows = []
-    for s in all_coalitions(n):
-        rows.append([Fraction(int(t & s == t)) for t in all_coalitions(n)])
-    return Matrix.from_rows(rows)
 
 
 def _dirac(mask: int, p_prime: int) -> list[Fraction]:
@@ -60,10 +58,11 @@ def _dirac(mask: int, p_prime: int) -> list[Fraction]:
 
 
 def power_system(v: TuGame, profile: SurplusProfile) -> CoalitionPowerSystem:
-    """Build V, U, W and alpha from a selection profile."""
+    """Build V, W and alpha from a selection profile."""
     n = v.n
     p_prime = (1 << n) - 1
     columns = []
+    w_rows = []
     alpha = []
     for i, j in unordered_pairs(n):
         s_ij = profile.get(i, j)
@@ -71,30 +70,16 @@ def power_system(v: TuGame, profile: SurplusProfile) -> CoalitionPowerSystem:
         col = _dirac(s_ij, p_prime)
         col[s_ji - 1] -= 1
         columns.append(col)
+        w_rows.append([Fraction(int(t & s_ij == t) - int(t & s_ji == t)) for t in all_coalitions(n)])
         alpha.append(v.value(s_ij) - v.value(s_ji))
     columns.append(_dirac(v.grand, p_prime))
+    w_rows.append([Fraction(1)] * p_prime)
     alpha.append(v.value(v.grand))
-    v_matrix = Matrix.from_columns(columns)
-    u_matrix = unanimity_basis(n)
-    w_matrix = v_matrix.transpose() @ u_matrix
-
-    vt_v = v_matrix.transpose().apply(list(v.values))
-    if list(vt_v) != alpha:
-        raise SolverError("V^T v must reproduce the value differences")
-    # The class sign matrix factors through V: E^T = V^T Z^T with
-    # Z^T[S][k] = -1 for k in S, witnessing the range inclusion.
-    z_t = Matrix.from_rows(
-        [[-Fraction(int(contains(m, p))) for p in range(1, n + 1)] for m in all_coalitions(n)]
-    )
-    e_t = quadratic_system(v, profile).e_matrix.transpose()
-    if (v_matrix.transpose() @ z_t).rows != e_t.rows:
-        raise SolverError("V^T Z^T must reproduce the class sign matrix")
     return CoalitionPowerSystem(
         n=n,
         profile=profile,
-        v_matrix=v_matrix,
-        u_matrix=u_matrix,
-        w_matrix=w_matrix,
+        v_matrix=Matrix.from_columns(columns),
+        w_matrix=Matrix.from_rows(w_rows),
         alpha_vec=tuple(alpha),
     )
 

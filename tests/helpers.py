@@ -113,6 +113,25 @@ def brute_force_balanced(masks, n):
     return all(c > 0 for c in centroid)
 
 
+def brute_force_convex(game):
+    """Convexity straight from its definition: v(S | T) + v(S & T) >=
+    v(S) + v(T) for every pair of coalitions, 4**n comparisons."""
+    full = 1 << game.n
+    for s in range(full):
+        for t in range(s + 1, full):
+            if game.value(s | t) + game.value(s & t) < game.value(s) + game.value(t):
+                return False
+    return True
+
+
+def unanimity_basis(n):
+    """The dense unanimity basis U[S][T] = 1 iff T is a subset of S, over
+    non-empty coalitions; the coalition power matrix is W = V^T U."""
+    return Matrix.from_rows(
+        [[Fraction(int(t & s == t)) for t in all_coalitions(n)] for s in all_coalitions(n)]
+    )
+
+
 def brute_force_average_convex(game):
     """Average convexity (Iñarra & Usategui 1993) straight from its definition.
 

@@ -21,8 +21,15 @@ from tusolve import (
     unanimity_coords,
 )
 from tusolve.coalitions import all_coalitions, unordered_pairs
+from tusolve.game import unanimity_values
 
-from helpers import TWO_PLAYER, BASE_POINT, random_efficient_payoff, random_game
+from helpers import (
+    TWO_PLAYER,
+    BASE_POINT,
+    brute_force_convex,
+    random_efficient_payoff,
+    random_game,
+)
 
 
 class TestExcess:
@@ -197,6 +204,22 @@ class TestUnanimity:
         v = TuGame(n, tuple(values))
         assert game_from_unanimity(unanimity_coords(v)) == v
 
+    def test_coords_of_game_from_coords(self):
+        rng = random.Random(31)
+        for n in range(1, 7):
+            for _ in range(5):
+                coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range((1 << n) - 1)]
+                # v(N) is the sum of all coordinates; lift it to 1 through u_N
+                coords[-1] += 1 - sum(coords)
+                assert unanimity_coords(game_from_unanimity(coords)) == tuple(coords)
+
+    def test_values_accept_nonpositive_grand_entry(self):
+        for coords in ((1, 1, -2), (1, 1, -3)):
+            values = unanimity_values(coords)
+            assert values == (1, 1, sum(coords))
+            with pytest.raises(ValueError):
+                game_from_unanimity(coords)
+
 
 class TestGameProperties:
     def test_base_game(self, base_game):
@@ -221,6 +244,27 @@ class TestGameProperties:
             v = random_convex_game(4, rng)
             p = game_properties(v)
             assert p.convex and p.average_convex and p.superadditive
+
+    def test_convex_matches_pairwise_definition(self):
+        rng = random.Random(29)
+        verdicts = {True: 0, False: 0}
+        for n in range(1, 6):
+            for _ in range(12):
+                # non-negative dividends on |S| >= 2, with ties, make v convex
+                coords = [
+                    Fraction(rng.randint(1, 9)) if mask.bit_count() == 1
+                    else Fraction(rng.choice([0, 0, rng.randint(1, 9)]), rng.randint(1, 3))
+                    for mask in all_coalitions(n)
+                ]
+                convex = game_from_unanimity(coords)
+                values = list(convex.values)
+                k = rng.randrange(len(values))
+                values[k] += Fraction(rng.choice([-1, 1]), rng.randint(2, 4))
+                for v in (convex, TuGame(n, tuple(values)), random_game(n, rng)):
+                    expected = brute_force_convex(v)
+                    assert game_properties(v).convex == expected
+                    verdicts[expected] += 1
+        assert verdicts[True] > 50 and verdicts[False] > 50
 
     def test_empty_core_detected(self):
         v = TuGame.from_coalition_values(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1, (1, 2, 3): 1})

@@ -53,6 +53,20 @@ class TestBasics:
         assert out.status == "optimal"
         assert out.point == (3, -1)
 
+    def test_redundant_equality_row(self):
+        # x + y = 2 and 2x + 2y = 4: phase 1 drops a row before phase 2 pivots
+        out = solve_lp(
+            LinearProgram(objective=(1, 2), eq_matrix=((1, 1), (2, 2)), eq_rhs=(2, 4))
+        )
+        assert out.status == "optimal" and out.point == (2, 0) and out.value == 2
+
+    def test_unbounded_after_feasible_phase_one(self):
+        # max x subject to x - y = 0, x, y >= 0
+        out = solve_lp(
+            LinearProgram(objective=(1, 0), maximize=True, eq_matrix=((1, -1),), eq_rhs=(0,))
+        )
+        assert out.status == "unbounded"
+
     def test_shifted_lower_bound(self):
         out = solve_lp(
             LinearProgram(objective=(1,), lower_bounds=(Fraction(-5),))

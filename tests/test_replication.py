@@ -17,12 +17,12 @@ from tusolve import (
     replicate_family,
     segment_sample,
     surplus_profile,
-    unanimity_basis,
 )
+from tusolve.coalitions import all_coalitions, indicator
 from tusolve.game import extend_payoff, unanimity_values
 from tusolve.linalg import Matrix, pseudo_inverse, rank
 
-from helpers import BASE_POINT
+from helpers import BASE_POINT, random_game, random_payoff, unanimity_basis
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,15 @@ def base_family(base_game):
     return replicate_family(base_game, BASE_POINT, Fraction(9, 10))
 
 
+def power_cases(base_game):
+    """The base game at its point, then seeded (game, payoff) pairs, n = 2..5."""
+    yield base_game, BASE_POINT
+    rng = random.Random(51)
+    for n in range(2, 6):
+        for _ in range(6):
+            yield random_game(n, rng), random_payoff(n, rng)
+
+
 def xi_at(psys, game, x):
     """Excess-imbalance vector V^T (v - xbar) of the selected pairs."""
     xbar = extend_payoff(x, game.n)
@@ -56,14 +65,33 @@ class TestPowerSystem:
     def test_dimensions(self, base_power):
         assert base_power.v_matrix.nrows == 15 and base_power.v_matrix.ncols == 7
         assert base_power.w_matrix.nrows == 7 and base_power.w_matrix.ncols == 15
-        assert base_power.u_matrix.nrows == 15 and base_power.u_matrix.ncols == 15
+        assert base_power.w_matrix == base_power.v_matrix.transpose() @ unanimity_basis(4)
 
     def test_rank_w(self, base_power):
         assert rank(base_power.w_matrix) == 4
 
-    def test_alpha_from_v(self, base_game, base_power, base_system):
-        vt_v = base_power.v_matrix.transpose().apply(list(base_game.values))
-        assert tuple(vt_v) == base_power.alpha_vec == base_system.alpha_vec
+    def test_w_matrix_is_vt_u(self, base_game):
+        for game, x in power_cases(base_game):
+            psys = power_system(game, surplus_profile(game, x))
+            assert psys.w_matrix == psys.v_matrix.transpose() @ unanimity_basis(game.n)
+
+    def test_alpha_from_v(self, base_game):
+        for game, x in power_cases(base_game):
+            profile = surplus_profile(game, x)
+            psys = power_system(game, profile)
+            vt_v = psys.v_matrix.transpose().apply(list(game.values))
+            assert tuple(vt_v) == psys.alpha_vec == quadratic_system(game, profile).alpha_vec
+
+    def test_sign_matrix_factors_through_v(self, base_game):
+        # E^T = V^T Z^T with Z^T[S][k] = -1 for k in S: the range inclusion
+        for game, x in power_cases(base_game):
+            profile = surplus_profile(game, x)
+            psys = power_system(game, profile)
+            z_t = Matrix.from_rows(
+                [[-c for c in indicator(m, game.n)] for m in all_coalitions(game.n)]
+            )
+            e_t = quadratic_system(game, profile).e_matrix.transpose()
+            assert psys.v_matrix.transpose() @ z_t == e_t
 
     def test_unanimity_basis_invertible(self):
         u = unanimity_basis(3)
