@@ -50,7 +50,7 @@ def contains(mask: Coalition, player: int) -> bool:
 
 def indicator(mask: Coalition, n: int) -> tuple[Fraction, ...]:
     """The 0/1 vector 1_S over players 1..n, as Fractions."""
-    return tuple(Fraction(int(contains(mask, p))) for p in range(1, n + 1))
+    return tuple([Fraction(int(contains(mask, p))) for p in range(1, n + 1)])
 
 
 def all_coalitions(n: int, include_empty: bool = False) -> Iterator[Coalition]:

@@ -24,6 +24,8 @@ from .coalitions import (
     lex_key,
     unordered_pairs,
 )
+from .errors import SolverError
+from .lp import LinearProgram, solve_lp
 
 Rational = Fraction
 Payoff = tuple[Fraction, ...]
@@ -358,26 +360,21 @@ def _is_semiconvex(v: TuGame) -> bool:
 
 
 def _core_nonempty(v: TuGame) -> bool:
-    from .lp import LinearProgram, solve_lp
-
-    full = v.grand
-    rows = []
-    rhs = []
-    for mask in all_coalitions(v.n):
-        if mask == full:
-            continue
-        rows.append([-c for c in indicator(mask, v.n)])
-        rhs.append(-v.value(mask))
-    program = LinearProgram(
-        objective=tuple([Fraction(0)] * v.n),
-        maximize=False,
-        eq_matrix=((tuple([Fraction(1)] * v.n),)),
-        eq_rhs=(v.value(full),),
-        ub_matrix=tuple(tuple(r) for r in rows),
-        ub_rhs=tuple(rhs),
-        lower_bounds=tuple([None] * v.n),
+    """Bondareva-Shapley: the core is non-empty iff max sum_S lambda_S v(S)
+    over lambda >= 0 with sum_{S contains i} lambda_S = 1 for every player i
+    is at most v(N).  The grand coalition's column keeps the LP feasible."""
+    masks = list(all_coalitions(v.n))
+    outcome = solve_lp(
+        LinearProgram(
+            objective=v.values,
+            maximize=True,
+            eq_matrix=tuple(zip(*(indicator(m, v.n) for m in masks))),
+            eq_rhs=tuple([Fraction(1)] * v.n),
+        )
     )
-    return solve_lp(program).status == "optimal"
+    if outcome.status != "optimal":
+        raise SolverError(f"core LP returned {outcome.status}")
+    return outcome.value <= v.value(v.grand)
 
 
 def game_properties(v: TuGame) -> GameProperties:

@@ -18,7 +18,12 @@ Vector = tuple[Fraction, ...]
 
 
 def _frac_row(row: Iterable) -> Vector:
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row)
+    # tuple() of a list allocates the exact size; of a generator it resizes
+    # a guessed block, and the freed tuples pile up on CPython's free list of
+    # the final size, up to 2,000 a size, which adds to the peak memory of
+    # long runs.  The hot tuple builders here, in lp.py and coalitions.py
+    # take a list for that reason.
+    return tuple([v if isinstance(v, Fraction) else Fraction(v) for v in row])
 
 
 @dataclass(frozen=True)
@@ -26,7 +31,7 @@ class Matrix:
     rows: tuple[Vector, ...]
 
     def __post_init__(self):
-        rows = tuple(_frac_row(r) for r in self.rows)
+        rows = tuple([_frac_row(r) for r in self.rows])
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
         object.__setattr__(self, "rows", rows)
@@ -41,7 +46,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "Matrix":
-        return cls(tuple(tuple(r) for r in rows))
+        return cls(tuple([tuple(r) for r in rows]))
 
     @classmethod
     def from_columns(cls, cols: Iterable[Iterable]) -> "Matrix":
@@ -62,7 +67,7 @@ class Matrix:
         return Matrix.from_rows(zip(*self.rows)) if self.rows else Matrix(())
 
     def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
+        return tuple([r[j] for r in self.rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -91,7 +96,7 @@ class Matrix:
         x = _frac_row(x)
         if len(x) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in self.rows)
+        return tuple([sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in self.rows])
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.rows for a in r)

@@ -34,11 +34,11 @@ class LinearProgram:
 
     def __post_init__(self):
         n = len(self.objective)
-        object.__setattr__(self, "objective", tuple(Fraction(c) for c in self.objective))
-        object.__setattr__(self, "eq_matrix", tuple(tuple(Fraction(v) for v in r) for r in self.eq_matrix))
-        object.__setattr__(self, "eq_rhs", tuple(Fraction(v) for v in self.eq_rhs))
-        object.__setattr__(self, "ub_matrix", tuple(tuple(Fraction(v) for v in r) for r in self.ub_matrix))
-        object.__setattr__(self, "ub_rhs", tuple(Fraction(v) for v in self.ub_rhs))
+        object.__setattr__(self, "objective", tuple([Fraction(c) for c in self.objective]))
+        object.__setattr__(self, "eq_matrix", tuple([tuple([Fraction(v) for v in r]) for r in self.eq_matrix]))
+        object.__setattr__(self, "eq_rhs", tuple([Fraction(v) for v in self.eq_rhs]))
+        object.__setattr__(self, "ub_matrix", tuple([tuple([Fraction(v) for v in r]) for r in self.ub_matrix]))
+        object.__setattr__(self, "ub_rhs", tuple([Fraction(v) for v in self.ub_rhs]))
         lb = self.lower_bounds
         if lb is None:
             lb = tuple([Fraction(0)] * n)

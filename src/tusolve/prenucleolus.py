@@ -1,10 +1,14 @@
 """Pre-nucleolus computation and balancedness verification.
 
-The solver sequentially minimizes the maximum excess: each round an exact
-LP finds the least achievable top excess over the not-yet-settled
-coalitions, a secondary LP per candidate decides which coalitions are
-pinned at that level in every optimal solution, and those become equality
-constraints.  The point is unique once the settled equalities reach rank n.
+The solver minimizes the ordered excess vector in the sequence of Maschler,
+Peleg & Shapley (1979), on the dual side.  The settled equalities (efficiency
+and each coalition fixed at its excess level) are substituted out as
+x = x0 + K w; coalitions whose excess they fix are dropped; and one LP per
+round maximizes the weighted excess over convex weights y >= 0 on the other
+coalitions subject to sum_S y_S K^T 1_S = 0.  Its optimum is the least top
+excess, and every coalition it weights is tight in each minimizer, so those
+are settled.  Each round raises the rank of the settled system, so at most
+n - 1 LPs of at most n rows run.
 Verification is independent: a payoff is the pre-nucleolus iff every
 excess level set is a balanced collection (Kohlberg 1971).  The check walks
 the level sets from the top excess down and stops at the first balanced one
@@ -22,7 +26,7 @@ from typing import Optional, Sequence
 from .coalitions import Coalition, all_coalitions, contains, grand_coalition, indicator, lex_key
 from .errors import SolverError
 from .game import Payoff, TuGame, as_payoff, extend_payoff, payoff_total
-from .linalg import Matrix, rank as matrix_rank, solve_linear
+from .linalg import Matrix, nullspace, rank as matrix_rank, solve_linear
 from .lp import LinearProgram, solve_lp
 
 
@@ -151,89 +155,45 @@ def kohlberg_criterion(v: TuGame, x: Sequence[Fraction]) -> bool:
 def prenucleolus(v: TuGame) -> Payoff:
     """The pre-nucleolus of v, exact.
 
-    Sequential scheme: minimize the top excess t over unsettled proper
-    coalitions subject to settled equalities and efficiency; settle each
-    coalition whose excess equals t* in every optimal solution (decided by
-    a secondary LP each); repeat until the settled system pins the payoff.
+    Each round writes the payoffs meeting the settled equalities B x = b
+    (efficiency and every settled coalition at its excess) as x0 + K w,
+    with K a null-space basis of B, drops the unsettled coalitions whose
+    excess does not depend on w, and solves the dual of the level LP:
+    max sum_S y_S (v(S) - x0(S)) subject to sum_S y_S K^T 1_S = 0,
+    sum_S y_S = 1 and y >= 0.  Every coalition in the support of the
+    optimum is tight in each primal optimum (complementary slackness), so
+    it is settled at the optimal level; its indicator lies outside the span
+    of B, so at most n - 1 rounds run before B has rank n.
     """
     n = v.n
-    full = v.grand
-    if n == 1:
-        return (v.value(full),)
-    proper = [m for m in all_coalitions(n) if m != full]
-    frozen: dict[Coalition, Fraction] = {}
-
-    def settled_rank() -> tuple[int, Matrix, list[Fraction]]:
-        rows = [indicator(m, n) for m in frozen]
-        rhs = [v.value(m) - frozen[m] for m in frozen]
-        rows.append(indicator(full, n))
-        rhs.append(v.value(full))
+    rows = [indicator(v.grand, n)]
+    rhs = [v.value(v.grand)]
+    unsettled = [m for m in all_coalitions(n) if m != v.grand]
+    for _ in range(n):
         mat = Matrix.from_rows(rows)
-        return matrix_rank(mat), mat, rhs
-
-    for _ in range(len(proper) + 1):
-        unfrozen = [m for m in proper if m not in frozen]
-        rk, mat, rhs = settled_rank()
-        if rk == n:
-            point = solve_linear(mat, rhs)
-            if point is None:
-                raise SolverError("settled equalities have no common solution")
-            return tuple(point)
-        if not unfrozen:
-            raise SolverError("all coalitions settled without pinning the payoff")
-
-        # min t subject to e(S,x) <= t (unsettled), settled equalities, efficiency
-        eq_rows = [indicator(m, n) + (Fraction(0),) for m in frozen]
-        eq_rhs = [v.value(m) - frozen[m] for m in frozen]
-        eq_rows.append(indicator(full, n) + (Fraction(0),))
-        eq_rhs.append(v.value(full))
-        ub_rows = []
-        ub_rhs = []
-        for m in unfrozen:
-            row = tuple(-c for c in indicator(m, n)) + (Fraction(-1),)
-            ub_rows.append(row)
-            ub_rhs.append(-v.value(m))
-        objective = tuple([Fraction(0)] * n) + (Fraction(1),)
+        x0 = solve_linear(mat, rhs)
+        if x0 is None:
+            raise SolverError("settled equalities have no common solution")
+        basis = nullspace(mat)
+        if not basis:
+            return x0
+        sums = [extend_payoff(z, n) for z in basis]
+        unsettled = [m for m in unsettled if any(s[m] for s in sums)]
+        xbar = extend_payoff(x0, n)
         outcome = solve_lp(
             LinearProgram(
-                objective=objective,
-                eq_matrix=tuple(eq_rows),
-                eq_rhs=tuple(eq_rhs),
-                ub_matrix=tuple(ub_rows),
-                ub_rhs=tuple(ub_rhs),
-                lower_bounds=tuple([None] * (n + 1)),
+                objective=tuple([v.value(m) - xbar[m] for m in unsettled]),
+                maximize=True,
+                eq_matrix=tuple([tuple([s[m] for m in unsettled]) for s in sums])
+                + (tuple([Fraction(1)] * len(unsettled)),),
+                eq_rhs=tuple([Fraction(0)] * len(sums)) + (Fraction(1),),
             )
         )
         if outcome.status != "optimal":
             raise SolverError(f"level LP returned {outcome.status}")
-        t_star = outcome.value
-        x_cur = outcome.point[:n]
-
-        # secondary LPs: settle S iff its excess equals t* in every optimum
-        eq_rows2 = [row[:n] for row in eq_rows]
-        ub_rows2 = [row[:n] for row in ub_rows]
-        ub_rhs2 = [b + t_star for b in ub_rhs]
-        newly: list[Coalition] = []
-        for m in unfrozen:
-            if v.value(m) - payoff_total(x_cur, m) != t_star:
-                continue
-            check = solve_lp(
-                LinearProgram(
-                    objective=indicator(m, n),
-                    maximize=True,
-                    eq_matrix=tuple(eq_rows2),
-                    eq_rhs=tuple(eq_rhs),
-                    ub_matrix=tuple(ub_rows2),
-                    ub_rhs=tuple(ub_rhs2),
-                    lower_bounds=tuple([None] * n),
-                )
-            )
-            if check.status != "optimal":
-                raise SolverError(f"settling LP returned {check.status}")
-            if check.value == v.value(m) - t_star:
-                newly.append(m)
-        if not newly:
-            raise SolverError("no coalition settled; the level LP must pin at least one")
-        for m in newly:
-            frozen[m] = t_star
+        for m, y in zip(unsettled, outcome.point):
+            if y > 0:
+                rows.append(indicator(m, n))
+                rhs.append(v.value(m) - outcome.value)
+        unsettled = [m for m, y in zip(unsettled, outcome.point) if y == 0]
     raise SolverError("sequential minimization failed to terminate")

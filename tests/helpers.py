@@ -2,12 +2,20 @@
 brute-force oracles that the solver results are checked against."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from tusolve import TuGame, game_from_unanimity
-from tusolve.coalitions import all_coalitions, coalition_of, contains, grand_coalition, lex_key
+from tusolve.coalitions import (
+    all_coalitions,
+    coalition_of,
+    contains,
+    grand_coalition,
+    indicator,
+    lex_key,
+)
 from tusolve.game import as_payoff, extend_payoff, payoff_total
-from tusolve.linalg import Matrix, rref, solve_linear
+from tusolve.linalg import Matrix, rank, rref, solve_linear
 from tusolve.lp import LinearProgram, solve_lp
 
 BASE_POINT = (Fraction(44, 9), Fraction(4), Fraction(32, 9), Fraction(32, 9))
@@ -26,7 +34,10 @@ def random_convex_game(n, rng):
 
     Coordinates use a spread of denominators; coarse integer data tends to
     produce coincidental excess ties at the solution point, which land it
-    on a selection-class boundary.
+    on a selection-class boundary.  When the drawn dividends sum to
+    v(N) <= 0, every singleton dividend is raised by the same amount so
+    that v(N) = 1; no further number is drawn, so every other draw is the
+    one earlier versions made.
     """
     coords = [Fraction(0)] * ((1 << n) - 1)
     for mask in range(1, 1 << n):
@@ -37,6 +48,10 @@ def random_convex_game(n, rng):
             coords[mask - 1] = Fraction(rng.randint(1, 90), rng.randint(7, 17))
         else:
             coords[mask - 1] = Fraction(rng.randint(0, 70), rng.randint(7, 17))
+    total = sum(coords)
+    if total <= 0:
+        for k in range(n):
+            coords[(1 << k) - 1] += (1 - total) / n
     return game_from_unanimity(coords)
 
 
@@ -62,10 +77,7 @@ def brute_force_lp(c, maximize, a_rows, b, box):
     rhs = list(b) + [Fraction(0)] * n + [Fraction(box)] * n
     best = None
     for subset in combinations(range(len(rows)), n):
-        mat = Matrix.from_rows([rows[i] for i in subset])
-        if rref(mat)[1] < n:
-            continue
-        sol = solve_linear(mat, [rhs[i] for i in subset])
+        sol = unique_solution([rows[i] for i in subset], [rhs[i] for i in subset])
         if sol is None:
             continue
         if all(
@@ -76,6 +88,25 @@ def brute_force_lp(c, maximize, a_rows, b, box):
             if best is None or (val > best if maximize else val < best):
                 best = val
     return best
+
+
+def unique_solution(rows, rhs):
+    """The solution of the linear system when its columns are independent
+    and it is consistent, else None: one rref of the augmented matrix."""
+    k = len(rows[0])
+    reduced, _, pivots = rref(Matrix.from_rows([list(r) + [b] for r, b in zip(rows, rhs)]))
+    if pivots != list(range(k)):
+        return None
+    return tuple(reduced.rows[i][k] for i in range(k))
+
+
+@cache
+def _indicator_vertex(masks, n):
+    """The exact weights w with sum_k w_k 1_{masks[k]} = 1_N when the
+    indicator columns are independent and the system is consistent, else
+    None.  Cached by the tuple of masks, across calls."""
+    rows = [[Fraction(int(contains(m, p))) for m in masks] for p in range(1, n + 1)]
+    return unique_solution(rows, [Fraction(1)] * n)
 
 
 def brute_force_balanced(masks, n):
@@ -91,16 +122,11 @@ def brute_force_balanced(masks, n):
         union |= m
     if union != full:
         return False
-    cols = [[Fraction(int(contains(m, p))) for p in range(1, n + 1)] for m in masks]
-    target = [Fraction(1)] * n
     k = len(masks)
     vertices = []
     for size in range(1, min(n, k) + 1):
         for subset in combinations(range(k), size):
-            mat = Matrix.from_columns([cols[i] for i in subset])
-            if rref(mat)[1] < size:
-                continue
-            sol = solve_linear(mat, target)
+            sol = _indicator_vertex(tuple(masks[i] for i in subset), n)
             if sol is None or any(s < 0 for s in sol):
                 continue
             w = [Fraction(0)] * k
@@ -207,3 +233,83 @@ def kohlberg_all_levels(v, x):
         if is_balanced_per_member(level, v.n) is None:
             return False
     return True
+
+
+def prenucleolus_tall(v):
+    """The pre-nucleolus by the primal sequential scheme with tall LPs.
+
+    Each round minimizes the top excess t over the unsettled proper
+    coalitions (one <= row each, free payoff and t) subject to the settled
+    equalities and efficiency, then settles every candidate at t* whose
+    excess cannot fall below t* (one maximizing LP per candidate).  It
+    shares only ``solve_lp`` and the linear algebra with ``prenucleolus``.
+    """
+    n = v.n
+    full = v.grand
+    if n == 1:
+        return (v.value(full),)
+    proper = [m for m in all_coalitions(n) if m != full]
+    frozen = {}
+    for _ in range(len(proper) + 1):
+        eq_rows = [indicator(m, n) for m in frozen] + [indicator(full, n)]
+        eq_rhs = [v.value(m) - t for m, t in frozen.items()] + [v.value(full)]
+        mat = Matrix.from_rows(eq_rows)
+        if rank(mat) == n:
+            point = solve_linear(mat, eq_rhs)
+            assert point is not None
+            return tuple(point)
+        unfrozen = [m for m in proper if m not in frozen]
+        assert unfrozen
+        ub_rows = [tuple(-c for c in indicator(m, n)) for m in unfrozen]
+        ub_rhs = [-v.value(m) for m in unfrozen]
+        outcome = solve_lp(
+            LinearProgram(
+                objective=tuple([Fraction(0)] * n) + (Fraction(1),),
+                eq_matrix=tuple(r + (Fraction(0),) for r in eq_rows),
+                eq_rhs=tuple(eq_rhs),
+                ub_matrix=tuple(r + (Fraction(-1),) for r in ub_rows),
+                ub_rhs=tuple(ub_rhs),
+                lower_bounds=tuple([None] * (n + 1)),
+            )
+        )
+        assert outcome.status == "optimal"
+        t_star = outcome.value
+        x_cur = outcome.point[:n]
+        newly = []
+        for m in unfrozen:
+            if v.value(m) - payoff_total(x_cur, m) != t_star:
+                continue
+            check = solve_lp(
+                LinearProgram(
+                    objective=indicator(m, n),
+                    maximize=True,
+                    eq_matrix=tuple(eq_rows),
+                    eq_rhs=tuple(eq_rhs),
+                    ub_matrix=tuple(ub_rows),
+                    ub_rhs=tuple(b + t_star for b in ub_rhs),
+                    lower_bounds=tuple([None] * n),
+                )
+            )
+            assert check.status == "optimal"
+            if check.value == v.value(m) - t_star:
+                newly.append(m)
+        assert newly
+        for m in newly:
+            frozen[m] = t_star
+    raise AssertionError("sequential minimization failed to terminate")
+
+
+def core_nonempty_tall(v):
+    """Core non-emptiness as feasibility of the primal system: x(N) = v(N)
+    and x(S) >= v(S) for every proper coalition, with a free payoff."""
+    n = v.n
+    proper = [m for m in all_coalitions(n) if m != v.grand]
+    program = LinearProgram(
+        objective=tuple([Fraction(0)] * n),
+        eq_matrix=(tuple([Fraction(1)] * n),),
+        eq_rhs=(v.value(v.grand),),
+        ub_matrix=tuple(tuple(-c for c in indicator(m, n)) for m in proper),
+        ub_rhs=tuple(-v.value(m) for m in proper),
+        lower_bounds=tuple([None] * n),
+    )
+    return solve_lp(program).status == "optimal"

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import tusolve.game
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from helpers import (
     TWO_PLAYER,
     BASE_POINT,
     brute_force_convex,
+    core_nonempty_tall,
     random_efficient_payoff,
     random_game,
 )
@@ -269,6 +271,48 @@ class TestGameProperties:
     def test_empty_core_detected(self):
         v = TuGame.from_coalition_values(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1, (1, 2, 3): 1})
         assert not game_properties(v).core_nonempty
+
+    def test_core_matches_primal_feasibility(self, monkeypatch):
+        """The Bondareva-Shapley LP against feasibility of x(N) = v(N),
+        x(S) >= v(S).  Besides random games, ``tight`` games put many core
+        constraints at equality at an integer payoff x (core non-empty, LP
+        optimum exactly v(N)); ``crossed`` games then raise one of a tight
+        complementary pair S, N minus S by 1/2, which empties the core."""
+        real = tusolve.game.solve_lp
+        programs = []
+
+        def recorded(program):
+            programs.append(program)
+            return real(program)
+
+        monkeypatch.setattr(tusolve.game, "solve_lp", recorded)
+        rng = random.Random(37)
+        verdicts = {True: 0, False: 0}
+        for n in range(1, 6):
+            full = (1 << n) - 1
+            for g in range(45):
+                kind = "random" if n == 1 else ("random", "tight", "crossed")[g % 3]
+                if kind == "random":
+                    v = random_game(n, rng)
+                else:
+                    x = [Fraction(rng.randint(-3, 6)) for _ in range(n)]
+                    x[-1] = 10 - sum(x[:-1])
+                    values = [payoff_total(x, m) - rng.choice([0, 0, 1, 2]) for m in range(1, full)]
+                    if kind == "crossed":
+                        s = rng.randrange(1, full)
+                        values[s - 1] = payoff_total(x, s) + Fraction(1, 2)
+                        values[full - s - 1] = payoff_total(x, full - s)
+                    v = TuGame(n, tuple(values) + (Fraction(10),))
+                programs.clear()
+                got = game_properties(v).core_nonempty
+                assert got == core_nonempty_tall(v)
+                if kind != "random":
+                    assert got is (kind == "tight")
+                verdicts[got] += 1
+                assert len(programs) == 1
+                assert programs[0].ub_matrix == () and len(programs[0].eq_matrix) == n
+                assert all(b == 0 for b in programs[0].lower_bounds)
+        assert verdicts[True] > 50 and verdicts[False] > 50
 
 
 class TestPayoffHelpers:
