@@ -368,7 +368,7 @@ def _core_nonempty(v: TuGame) -> bool:
         LinearProgram(
             objective=v.values,
             maximize=True,
-            eq_matrix=tuple(zip(*(indicator(m, v.n) for m in masks))),
+            eq_matrix=tuple(zip(*[indicator(m, v.n) for m in masks])),
             eq_rhs=tuple([Fraction(1)] * v.n),
         )
     )

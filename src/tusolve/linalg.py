@@ -110,7 +110,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     # clear denominators per row, then fraction-free forward elimination
     work: list[list[Fraction]] = []
     for row in m.rows:
-        mult = lcm(*(v.denominator for v in row)) if row else 1
+        mult = lcm(*[v.denominator for v in row]) if row else 1
         work.append([v * mult for v in row])
     piv_cols: list[int] = []
     prev = Fraction(1)

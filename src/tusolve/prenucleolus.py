@@ -90,7 +90,7 @@ def is_balanced(collection: Sequence[Coalition], n: int) -> Optional[BalancedCer
     if union != full:
         return None
 
-    eq_rows = tuple(zip(*(indicator(m, n) for m in masks)))
+    eq_rows = tuple(zip(*[indicator(m, n) for m in masks]))
     eq_rhs = tuple([Fraction(1)] * n)
     m_count = len(masks)
     zero_so_far = set(range(m_count))

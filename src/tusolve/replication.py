@@ -20,9 +20,18 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Optional, Sequence
 
-from .coalitions import all_coalitions, ordered_pairs, unordered_pairs
+from .coalitions import all_coalitions, format_coalition, ordered_pairs, unordered_pairs
 from .errors import ClassBoundaryError, ReplicationError
-from .game import Payoff, TuGame, as_fraction, as_payoff, is_prekernel, unanimity_values
+from .game import (
+    Payoff,
+    TuGame,
+    as_fraction,
+    as_payoff,
+    extend_payoff,
+    is_prekernel,
+    max_surplus,
+    unanimity_values,
+)
 from .linalg import Matrix, Vector, nullspace, rank as matrix_rank, rref
 from .prekernel import (
     QuadraticSystem,
@@ -90,7 +99,7 @@ def family_nullspace(sys: CoalitionPowerSystem) -> list[Vector]:
     basis = nullspace(sys.w_matrix)
     cleared = []
     for vec in basis:
-        mult = lcm(*(f.denominator for f in vec))
+        mult = lcm(*[f.denominator for f in vec])
         cleared.append(tuple(f * mult for f in vec))
     return cleared
 
@@ -115,14 +124,32 @@ def _sqrt_lower(value: Fraction) -> Fraction:
     return Fraction(isqrt(num * den), den)
 
 
+def _boundary_message(v: TuGame, x: Payoff, profile: SurplusProfile, pair, d) -> str:
+    """Why no positive step along d exists: for each pair (k, l) whose
+    selected coalition ties with a rival that gains on it along d, every
+    coalition attaining the maximum surplus of k over l."""
+    dbar = extend_payoff(d, v.n)
+    ties = []
+    for k, l in ordered_pairs(v.n):
+        _, tied = max_surplus(v, k, l, x)
+        if any(dbar[t] < dbar[profile.get(k, l)] for t in tied):
+            ties.append(f"of {k} over {l} by " + ", ".join(format_coalition(t) for t in tied))
+    return (
+        "the pre-kernel point lies on the boundary of its selection class, so the"
+        f" interior condition fails: no positive step in direction {pair}; tied"
+        " maximum surpluses: " + "; ".join(ties)
+    )
+
+
 def critical_bound(v: TuGame, x: Sequence[Fraction], sys: QuadraticSystem) -> Fraction:
     """Per-coalition variation radius under which the selection at x survives.
 
     Estimates the inscribed level c of the class quadratic by probing each
     pair-transfer direction to its exact breakpoint, halves it for safety,
     and converts to the bound min over pairs of sqrt(c) / |E^T (1_j - 1_i)|.
-    Raises ClassBoundaryError when x admits no positive step in some
-    direction (replication is then not guaranteed).
+    Raises ClassBoundaryError, naming the tied coalitions, when x admits
+    no positive step in some direction: x then lies on the boundary of its
+    selection class, and replication is not guaranteed.
     """
     x = as_payoff(x)
     if not is_prekernel(v, x):
@@ -140,7 +167,7 @@ def critical_bound(v: TuGame, x: Sequence[Fraction], sys: QuadraticSystem) -> Fr
         d[j - 1] = Fraction(1)
         step = profile_preserving_step(v, x, sys.profile, d)
         if step is not None and step == 0:
-            raise ClassBoundaryError(f"no positive step in direction {(i, j)}")
+            raise ClassBoundaryError(_boundary_message(v, x, sys.profile, (i, j), d))
         etd = e_t.apply(d)
         norms.append(sum((a * a for a in etd), Fraction(0)))
         if step is not None:

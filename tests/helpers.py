@@ -4,6 +4,7 @@ brute-force oracles that the solver results are checked against."""
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from typing import Sequence
 
 from tusolve import TuGame, game_from_unanimity
 from tusolve.coalitions import (
@@ -16,7 +17,7 @@ from tusolve.coalitions import (
 )
 from tusolve.game import as_payoff, extend_payoff, payoff_total
 from tusolve.linalg import Matrix, rank, rref, solve_linear
-from tusolve.lp import LinearProgram, solve_lp
+from tusolve.lp import LinearProgram, LpOutcome, solve_lp
 
 BASE_POINT = (Fraction(44, 9), Fraction(4), Fraction(32, 9), Fraction(32, 9))
 
@@ -313,3 +314,165 @@ def core_nonempty_tall(v):
         lower_bounds=tuple([None] * n),
     )
     return solve_lp(program).status == "optimal"
+
+
+def solve_lp_tableau(program):
+    """Two-phase Bland-rule simplex on a tableau of Fractions.
+
+    The solver ``solve_lp`` replaced: one artificial per row (rows with a
+    negative right-hand side negated), reduced costs recomputed over every
+    column each iteration, ties in the ratio test to the lowest basis
+    index.  ``solve_lp`` must return the same (status, point, value)."""
+    n = len(program.objective)
+    sign = Fraction(-1 if program.maximize else 1)
+    cost = [sign * c for c in program.objective]
+
+    # Column layout after substitution: for each original variable either one
+    # shifted column (finite lower bound) or a +/- pair (free).  Slacks follow.
+    col_of: list[tuple[int, ...]] = []  # per original var: mapped column indices
+    shifts: list[Fraction] = []
+    ncols = 0
+    for lb in program.lower_bounds:
+        if lb is None:
+            col_of.append((ncols, ncols + 1))
+            shifts.append(Fraction(0))
+            ncols += 2
+        else:
+            col_of.append((ncols,))
+            shifts.append(lb)
+            ncols += 1
+
+    def expand(row: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
+        """Rewrite a constraint row in the substituted columns; returns the
+        row and the rhs correction from lower-bound shifts."""
+        out = [Fraction(0)] * ncols
+        corr = Fraction(0)
+        for i, coeff in enumerate(row):
+            if coeff == 0:
+                continue
+            cols = col_of[i]
+            out[cols[0]] += coeff
+            if len(cols) == 2:
+                out[cols[1]] -= coeff
+            corr += coeff * shifts[i]
+        return out, corr
+
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for row, b in zip(program.eq_matrix, program.eq_rhs):
+        r, corr = expand(row)
+        rows.append(r)
+        rhs.append(Fraction(b) - corr)
+    n_slacks = len(program.ub_matrix)
+    for k, (row, b) in enumerate(zip(program.ub_matrix, program.ub_rhs)):
+        r, corr = expand(row)
+        r.extend(Fraction(0) for _ in range(n_slacks))
+        r[ncols + k] = Fraction(1)
+        rows.append(r)
+        rhs.append(Fraction(b) - corr)
+    for r in rows[: len(program.eq_matrix)]:
+        r.extend(Fraction(0) for _ in range(n_slacks))
+    total = ncols + n_slacks
+
+    obj = [Fraction(0)] * total
+    for i, c in enumerate(cost):
+        cols = col_of[i]
+        obj[cols[0]] += c
+        if len(cols) == 2:
+            obj[cols[1]] -= c
+
+    for r, b in zip(rows, rhs):
+        if b < 0:
+            for j in range(total):
+                r[j] = -r[j]
+    rhs = [abs(b) if b < 0 else b for b in rhs]
+
+    m = len(rows)
+    # phase 1 tableau: one artificial per row
+    tab = []
+    for i, (r, b) in enumerate(zip(rows, rhs)):
+        row = r + [Fraction(0)] * m + [b]
+        row[total + i] = Fraction(1)
+        tab.append(row)
+    basis = [total + i for i in range(m)]
+
+    # pivot and run_simplex read tab, m and basis from this scope, so they
+    # serve phase 2 as well after phase 1 drops redundant rows
+    def pivot(rowi: int, colj: int):
+        piv = tab[rowi][colj]
+        tab[rowi] = [v / piv for v in tab[rowi]]
+        prow = tab[rowi]
+        for k in range(m):
+            if k != rowi and tab[k][colj] != 0:
+                f = tab[k][colj]
+                tab[k] = [a - f * b for a, b in zip(tab[k], prow)]
+        basis[rowi] = colj
+
+    def run_simplex(cost: list[Fraction]) -> bool:
+        """Bland-rule iterations minimizing cost over its columns; returns
+        False on unbounded."""
+        while True:
+            # reduced cost r_j = c_j - sum_i c_basis[i] * tab[i][j]
+            cb = [cost[b] for b in basis]
+            red = []
+            for j in range(len(cost)):
+                s = cost[j]
+                for i in range(m):
+                    if cb[i] != 0 and tab[i][j] != 0:
+                        s -= cb[i] * tab[i][j]
+                red.append(s)
+            enter = next((j for j, r in enumerate(red) if r < 0), -1)
+            if enter < 0:
+                return True
+            leave = -1
+            best = None
+            for i in range(m):
+                a = tab[i][enter]
+                if a > 0:
+                    ratio = tab[i][-1] / a
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return False
+            pivot(leave, enter)
+
+    # phase 1: min sum(artificials)
+    phase_cost = [Fraction(0)] * total + [Fraction(1)] * m
+    if not run_simplex(phase_cost):
+        raise AssertionError("phase-1 objective cannot be unbounded")
+    p1 = sum((phase_cost[basis[i]] * tab[i][-1] for i in range(m)), Fraction(0))
+    if p1 != 0:
+        return LpOutcome(status="infeasible")
+
+    # drive artificials out of the basis; drop rows that are redundant
+    for i in range(m):
+        if basis[i] >= total:
+            col = next((j for j in range(total) if tab[i][j] != 0), None)
+            if col is not None:
+                pivot(i, col)
+    live = [i for i in range(m) if basis[i] < total]
+    if len(live) < m:
+        tab = [tab[i] for i in live]
+        basis = [basis[i] for i in live]
+        m = len(tab)
+    tab = [row[:total] + [row[-1]] for row in tab]
+
+    # phase 2
+    if not run_simplex(obj):
+        return LpOutcome(status="unbounded")
+
+    solution = [Fraction(0)] * total
+    for i in range(m):
+        solution[basis[i]] = tab[i][-1]
+    point = []
+    for i in range(n):
+        cols = col_of[i]
+        val = solution[cols[0]]
+        if len(cols) == 2:
+            val -= solution[cols[1]]
+        point.append(val + shifts[i])
+    value = sum((c * x for c, x in zip(cost, point)), Fraction(0))
+    if program.maximize:
+        value = -value
+    return LpOutcome(status="optimal", point=tuple(point), value=value)

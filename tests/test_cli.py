@@ -16,6 +16,7 @@ from tusolve.cli import (
     save_game,
 )
 
+from tusolve import TuGame
 from tusolve.lp import LpOutcome
 
 from helpers import random_game
@@ -204,6 +205,22 @@ class TestFamilyCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["samples"] == 5 and doc["all_prekernel"] is True
+
+    def test_replicate_on_class_boundary(self, capsys, tmp_path):
+        # v(S) = |S|^2 is symmetric, so at the equal split the singleton {k}
+        # and the triple N - {l} tie for the maximum surplus of k over l
+        path = tmp_path / "squares.json"
+        save_game(path, TuGame(4, tuple(Fraction(m.bit_count() ** 2) for m in range(1, 16))))
+        out_dir = tmp_path / "family"
+        code, out, err = run(capsys, "replicate", str(path), "--mu", "9/10", "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err == (
+            "solver error: the pre-kernel point lies on the boundary of its selection"
+            " class, so the interior condition fails: no positive step in direction"
+            " (1, 2); tied maximum surpluses: of 2 over 3 by {2}, {1,2,4}; of 2 over 4"
+            " by {2}, {1,2,3}; of 3 over 2 by {3}, {1,3,4}; of 4 over 2 by {4}, {1,3,4}\n"
+        )
+        assert not out_dir.exists()
 
 
 MALFORMED_GAMES = {

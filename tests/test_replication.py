@@ -161,7 +161,12 @@ class TestCriticalBound:
     def test_boundary_point_signals(self, segment_game):
         edge = (Fraction(2), Fraction(2), Fraction(0), Fraction(0))
         sys = quadratic_system(segment_game, surplus_profile(segment_game, edge))
-        with pytest.raises(ClassBoundaryError):
+        with pytest.raises(
+            ClassBoundaryError,
+            match=r"^the pre-kernel point lies on the boundary of its selection class, so the"
+            r" interior condition fails: no positive step in direction \(1, 2\); tied maximum"
+            r" surpluses: of 3 over 2 by \{3\}, \{1,3\}, \{3,4\}; of 3 over 4 by",
+        ):
             critical_bound(segment_game, edge, sys)
 
     def test_requires_prekernel(self, base_game, base_system):
